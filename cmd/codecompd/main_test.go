@@ -1,8 +1,8 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,40 +11,51 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"codecomp"
+	"codecomp/internal/cluster"
 	"codecomp/internal/obsv"
-	"codecomp/internal/overload"
 	"codecomp/internal/romserver"
 )
 
-func testConfig() config {
-	return config{
-		cacheBlocks: 64,
-		cacheShards: 4,
-		workers:     2,
-		prefetch:    2,
-		traceBuffer: 1024,
-		maxImage:    16 << 20,
-		retries:     2,
-		traceRing:   64,
-		traceSample: 1,
-	}
-}
-
-// startDaemon builds a daemon from cfg, serves its mux over httptest and
-// uploads one SAMC image named "prog". Returns the test server and the
-// image's block count.
-func startDaemon(t *testing.T, cfg config) (*daemon, *httptest.Server, int) {
+// testConfig parses a small, deterministic codecompd command line (no
+// load deadline, no background re-verify or recompression, no overload
+// layer, every block load traced) followed by extra flags.
+func testConfig(t *testing.T, extra ...string) config {
 	t.Helper()
-	d, err := newDaemon(cfg)
+	args := []string{
+		"-cache-blocks", "64", "-cache-shards", "4", "-workers", "2", "-prefetch", "2",
+		"-trace-buffer", "1024", "-max-image-bytes", "16777216", "-retries", "2",
+		"-trace-ring", "64", "-trace-sample", "1", "-load-timeout", "0", "-reverify", "0",
+		"-overload=false", "-tiering-interval", "0",
+	}
+	cfg, err := parseFlags(append(args, extra...), flag.ContinueOnError)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { d.rs.Close() })
-	ts := httptest.NewServer(d.mux)
+	return cfg
+}
+
+// newNode builds the node cfg describes and serves codecompd's handler
+// for it over httptest.
+func newNode(t *testing.T, cfg config) (*cluster.Node, *httptest.Server) {
+	t.Helper()
+	n, err := cluster.NewNode(cfg.node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	ts := httptest.NewServer(handler(n, cfg.enablePprof))
 	t.Cleanup(ts.Close)
+	return n, ts
+}
+
+// startDaemon builds a node from cfg, serves it over httptest and
+// uploads one SAMC image named "prog". Returns the node, the test server
+// and the image's block count.
+func startDaemon(t *testing.T, cfg config) (*cluster.Node, *httptest.Server, int) {
+	t.Helper()
+	d, ts := newNode(t, cfg)
 
 	prog := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv"))
 	img, err := codecomp.CompressSAMC(prog.Text(), codecomp.SAMCOptions{Connected: true})
@@ -93,7 +104,7 @@ func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byt
 // asserts the default /metrics exposition is valid Prometheus text that
 // our own parser round-trips, with non-zero per-route latency tails.
 func TestMetricsPrometheusRoundTrip(t *testing.T) {
-	_, ts, blocks := startDaemon(t, testConfig())
+	_, ts, blocks := startDaemon(t, testConfig(t))
 	for i := 0; i < blocks; i++ {
 		resp, _ := get(t, fmt.Sprintf("%s/images/prog/blocks/%d", ts.URL, i), nil)
 		if resp.StatusCode != http.StatusOK {
@@ -144,7 +155,7 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 // TestMetricsJSONNegotiation asserts the legacy JSON stats shape is still
 // served when the client asks for it (loadgen does).
 func TestMetricsJSONNegotiation(t *testing.T) {
-	_, ts, _ := startDaemon(t, testConfig())
+	_, ts, _ := startDaemon(t, testConfig(t))
 	for _, u := range []struct {
 		url string
 		hdr map[string]string
@@ -169,7 +180,7 @@ func TestMetricsJSONNegotiation(t *testing.T) {
 // TestErrorCounter asserts 4xx responses land in the per-route error
 // counter.
 func TestErrorCounter(t *testing.T) {
-	d, ts, _ := startDaemon(t, testConfig())
+	d, ts, _ := startDaemon(t, testConfig(t))
 	resp, _ := get(t, ts.URL+"/images/absent", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing image: %d", resp.StatusCode)
@@ -188,7 +199,7 @@ func TestErrorCounter(t *testing.T) {
 // TestDebugTraces asserts /debug/traces serves sampled block-load spans
 // with the load phases.
 func TestDebugTraces(t *testing.T) {
-	_, ts, blocks := startDaemon(t, testConfig()) // traceSample: 1
+	_, ts, blocks := startDaemon(t, testConfig(t)) // traceSample: 1
 	for i := 0; i < blocks && i < 8; i++ {
 		get(t, fmt.Sprintf("%s/images/prog/blocks/%d", ts.URL, i), nil)
 	}
@@ -229,13 +240,11 @@ func TestDebugTraces(t *testing.T) {
 // TestPprofGating asserts the profiling endpoints only exist behind
 // -enable-pprof.
 func TestPprofGating(t *testing.T) {
-	_, off, _ := startDaemon(t, testConfig())
+	_, off, _ := startDaemon(t, testConfig(t))
 	if resp, _ := get(t, off.URL+"/debug/pprof/", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("pprof served without -enable-pprof: %d", resp.StatusCode)
 	}
-	cfgOn := testConfig()
-	cfgOn.enablePprof = true
-	_, on, _ := startDaemon(t, cfgOn)
+	_, on, _ := startDaemon(t, testConfig(t, "-enable-pprof"))
 	if resp, _ := get(t, on.URL+"/debug/pprof/", nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof absent with -enable-pprof: %d", resp.StatusCode)
 	}
@@ -245,17 +254,13 @@ func TestPprofGating(t *testing.T) {
 // registers and asserts docs/OPERATIONS.md documents it by name — the
 // metrics reference cannot silently rot.
 func TestOperationsDocCoversRegistry(t *testing.T) {
-	d, err := newDaemon(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.rs.Close()
+	d, _ := newNode(t, testConfig(t))
 	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("operator runbook missing: %v", err)
 	}
 	var missing []string
-	for _, f := range d.reg.Families() {
+	for _, f := range d.Registry().Families() {
 		if !strings.Contains(string(doc), f.Name) {
 			missing = append(missing, f.Name)
 		}
@@ -271,19 +276,12 @@ func TestOperationsDocCoversRegistry(t *testing.T) {
 // directory: the image must come back readable with no re-upload, and
 // deletion must forget it on disk too.
 func TestDataDirPersistence(t *testing.T) {
-	cfg := testConfig()
-	cfg.dataDir = t.TempDir()
+	cfg := testConfig(t, "-data-dir", t.TempDir())
 	d1, ts1, _ := startDaemon(t, cfg)
 	ts1.Close()
-	d1.rs.Close()
+	d1.Close()
 
-	d2, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.rs.Close()
-	ts2 := httptest.NewServer(d2.mux)
-	defer ts2.Close()
+	_, ts2 := newNode(t, cfg)
 
 	resp, err := http.Get(ts2.URL + "/images/prog/blocks/0")
 	if err != nil {
@@ -299,12 +297,8 @@ func TestDataDirPersistence(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %v %v", resp.Status, err)
 	}
-	d3, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d3.rs.Close()
-	if imgs := d3.rs.Images(); len(imgs) != 0 {
+	d3, _ := newNode(t, cfg)
+	if imgs := d3.Server().Images(); len(imgs) != 0 {
 		t.Fatalf("deleted image resurrected on restart: %v", imgs)
 	}
 }
@@ -314,9 +308,8 @@ func TestDataDirPersistence(t *testing.T) {
 // show the batched path amortizing dispatches below one-per-block, and
 // malformed or out-of-range requests must fail cleanly.
 func TestRangeEndpoint(t *testing.T) {
-	cfg := testConfig()
-	cfg.prefetch = -1 // keep the cached-block count deterministic
-	_, ts, blocks := startDaemon(t, cfg)
+	// No prefetch: keep the cached-block count deterministic.
+	_, ts, blocks := startDaemon(t, testConfig(t, "-prefetch", "-1"))
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 
 	// Warm two scattered blocks so the range has both cached blocks and
@@ -375,9 +368,7 @@ func TestRangeEndpoint(t *testing.T) {
 // (X-Decoded-Bytes), and clean failures for malformed or out-of-range
 // windows.
 func TestBytesEndpoint(t *testing.T) {
-	cfg := testConfig()
-	cfg.prefetch = -1
-	_, ts, _ := startDaemon(t, cfg)
+	_, ts, _ := startDaemon(t, testConfig(t, "-prefetch", "-1"))
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 
 	// Cold sub-block read ending mid-block: blocks 0..2 decode fully,
@@ -452,7 +443,7 @@ func TestBytesEndpoint(t *testing.T) {
 // through the batched range path — the full upload→detect→decode loop
 // for the new codec.
 func TestRangeEndpointRANS(t *testing.T) {
-	_, ts, _ := startDaemon(t, testConfig())
+	_, ts, _ := startDaemon(t, testConfig(t))
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 	img, err := codecomp.CompressRANS(text, codecomp.RANSOptions{})
 	if err != nil {
@@ -480,43 +471,10 @@ func TestRangeEndpointRANS(t *testing.T) {
 	}
 }
 
-// TestWriteErrOverloadMapping pins the daemon's overload status mapping:
-// admission rejects are 429 + Retry-After, brownout sheds are 503 +
-// Retry-After, propagated-deadline expiry is 504, and an invalid
-// X-Deadline-Ms header is the caller's fault (400).
-func TestWriteErrOverloadMapping(t *testing.T) {
-	cases := []struct {
-		name       string
-		err        error
-		status     int
-		retryAfter bool
-	}{
-		{"admission deadline", &overload.RejectError{Reason: overload.ReasonDeadline, RetryAfter: 2 * time.Second}, http.StatusTooManyRequests, true},
-		{"admission queue full", &overload.RejectError{Reason: overload.ReasonQueueFull, RetryAfter: time.Second}, http.StatusTooManyRequests, true},
-		{"brownout shed", &overload.RejectError{Reason: overload.ReasonBrownout, RetryAfter: 3 * time.Second}, http.StatusServiceUnavailable, true},
-		{"deadline expired", context.DeadlineExceeded, http.StatusGatewayTimeout, false},
-		{"canceled", context.Canceled, http.StatusGatewayTimeout, false},
-		{"quarantined", romserver.ErrQuarantined, http.StatusServiceUnavailable, false},
-		{"timeout", romserver.ErrDecompressTimeout, http.StatusGatewayTimeout, false},
-	}
-	for _, tc := range cases {
-		rec := httptest.NewRecorder()
-		writeErr(rec, tc.err)
-		if rec.Code != tc.status {
-			t.Errorf("%s: status = %d, want %d", tc.name, rec.Code, tc.status)
-		}
-		if got := rec.Header().Get("Retry-After") != ""; got != tc.retryAfter {
-			t.Errorf("%s: Retry-After present = %v, want %v", tc.name, got, tc.retryAfter)
-		}
-	}
-}
-
 // TestBlockDeadlineHeader drives the header end to end over HTTP: a
 // generous propagated deadline serves normally, a malformed one is 400.
 func TestBlockDeadlineHeader(t *testing.T) {
-	cfg := testConfig()
-	cfg.overload = true
-	_, ts, _ := startDaemon(t, cfg)
+	_, ts, _ := startDaemon(t, testConfig(t, "-overload"))
 
 	resp, _ := get(t, ts.URL+"/images/prog/blocks/0", map[string]string{"X-Deadline-Ms": "5000"})
 	if resp.StatusCode != http.StatusOK {
@@ -608,7 +566,7 @@ func doReq(t *testing.T, method, url, body string) (*http.Response, []byte) {
 // forced recompression pass that migrates the trained hot set while the
 // served text stays byte-exact.
 func TestTieringEndpoints(t *testing.T) {
-	_, ts, _ := startDaemon(t, testConfig()) // "prog" is single-codec SAMC
+	_, ts, _ := startDaemon(t, testConfig(t)) // "prog" is single-codec SAMC
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 	info := uploadTiered(t, ts, "tprog", text)
 
@@ -716,8 +674,7 @@ func TestTieringEndpoints(t *testing.T) {
 // same directory: the recovered image must serve byte-exact text AND
 // carry the migrated tier map, not the upload-time one.
 func TestTieredDataDirPersistence(t *testing.T) {
-	cfg := testConfig()
-	cfg.dataDir = t.TempDir()
+	cfg := testConfig(t, "-data-dir", t.TempDir())
 	d1, ts1, _ := startDaemon(t, cfg)
 	text := codecomp.GenerateMIPS(codecomp.MustProfile("tomcatv")).Text()
 	info := uploadTiered(t, ts1, "tprog", text)
@@ -746,15 +703,9 @@ func TestTieredDataDirPersistence(t *testing.T) {
 		t.Fatal("nothing migrated before restart")
 	}
 	ts1.Close()
-	d1.rs.Close()
+	d1.Close()
 
-	d2, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.rs.Close()
-	ts2 := httptest.NewServer(d2.mux)
-	defer ts2.Close()
+	_, ts2 := newNode(t, cfg)
 
 	_, body = get(t, ts2.URL+"/images/tprog/tiering", nil)
 	var after romserver.TieringInfo

@@ -205,61 +205,22 @@ func (c *Client) Block(name string, i int) (data []byte, hit bool, err error) {
 // doomed work before it queues. A non-2xx answer is a *StatusError;
 // overload rejections carry the server's Retry-After hint in it.
 func (c *Client) BlockContext(ctx context.Context, name string, i int) (data []byte, hit bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/images/%s/blocks/%d", c.Base, name, i), nil)
+	body, h, err := c.read(ctx, fmt.Sprintf("/images/%s/blocks/%d", name, i))
 	if err != nil {
 		return nil, false, err
 	}
-	if v := overload.HeaderValue(ctx); v != "" {
-		req.Header.Set(overload.DeadlineHeader, v)
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{
-			What: fmt.Sprintf("block %d of %s", i, name),
-			Code: resp.StatusCode,
-			Body: string(bytes.TrimSpace(body)),
-		}
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-			se.RetryAfter = time.Duration(secs) * time.Second
-		}
-		return nil, false, se
-	}
-	return body, resp.Header.Get("X-Cache") == "hit", nil
+	return body, h.Get("X-Cache") == "hit", nil
 }
 
 // Range fetches blocks [first,last] through the server's batched decode
 // path (GET /images/{name}/blocks?range=first-last) and reports how the
 // read was served, parsed back from the X-Range-* headers.
 func (c *Client) Range(name string, first, last int) ([]byte, romserver.RangeStats, error) {
-	var st romserver.RangeStats
-	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/images/%s/blocks?range=%d-%d", c.Base, name, first, last), nil)
+	body, h, err := c.read(context.Background(), fmt.Sprintf("/images/%s/blocks?range=%d-%d", name, first, last))
 	if err != nil {
-		return nil, st, err
+		return nil, romserver.RangeStats{}, err
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, st, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, st, statusErr(fmt.Sprintf("range %d-%d of %s", first, last, name), resp.StatusCode, body)
-	}
-	st.Blocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Blocks"))
-	st.CachedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Cached"))
-	st.Dispatches, _ = strconv.Atoi(resp.Header.Get("X-Range-Dispatches"))
-	st.DecodedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Decoded"))
+	st, _ := rangeHeaders(h)
 	return body, st, nil
 }
 
@@ -277,41 +238,53 @@ func (c *Client) ReadBytes(name string, off, n int) ([]byte, romserver.RangeStat
 // fully cached read, less than the covering blocks' total when the
 // tail was partially decoded).
 func (c *Client) ReadBytesContext(ctx context.Context, name string, off, n int) ([]byte, romserver.RangeStats, int, error) {
-	var st romserver.RangeStats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/images/%s/bytes?off=%d&len=%d", c.Base, name, off, n), nil)
+	body, h, err := c.read(ctx, fmt.Sprintf("/images/%s/bytes?off=%d&len=%d", name, off, n))
 	if err != nil {
-		return nil, st, 0, err
+		return nil, romserver.RangeStats{}, 0, err
+	}
+	st, decoded := rangeHeaders(h)
+	return body, st, decoded, nil
+}
+
+// read GETs one of the serving read endpoints under ctx, its remaining
+// deadline riding X-Deadline-Ms, and returns a 200's body and headers.
+// Any other status is a *StatusError carrying the Retry-After hint.
+func (c *Client) read(ctx context.Context, path string) ([]byte, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	if v := overload.HeaderValue(ctx); v != "" {
 		req.Header.Set(overload.DeadlineHeader, v)
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return nil, st, 0, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, st, 0, err
+		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{
-			What: fmt.Sprintf("bytes [%d,%d) of %s", off, off+n, name),
-			Code: resp.StatusCode,
-			Body: string(bytes.TrimSpace(body)),
-		}
+		se := &StatusError{What: "GET " + path, Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
 		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
 			se.RetryAfter = time.Duration(secs) * time.Second
 		}
-		return nil, st, 0, se
+		return nil, nil, se
 	}
-	st.Blocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Blocks"))
-	st.CachedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Cached"))
-	st.Dispatches, _ = strconv.Atoi(resp.Header.Get("X-Range-Dispatches"))
-	st.DecodedBlocks, _ = strconv.Atoi(resp.Header.Get("X-Range-Decoded"))
-	decoded, _ := strconv.Atoi(resp.Header.Get("X-Decoded-Bytes"))
-	return body, st, decoded, nil
+	return body, resp.Header, nil
+}
+
+// rangeHeaders parses a range or byte read's X-Range-* stats and its
+// X-Decoded-Bytes figure.
+func rangeHeaders(h http.Header) (st romserver.RangeStats, decoded int) {
+	st.Blocks, _ = strconv.Atoi(h.Get("X-Range-Blocks"))
+	st.CachedBlocks, _ = strconv.Atoi(h.Get("X-Range-Cached"))
+	st.Dispatches, _ = strconv.Atoi(h.Get("X-Range-Dispatches"))
+	st.DecodedBlocks, _ = strconv.Atoi(h.Get("X-Range-Decoded"))
+	decoded, _ = strconv.Atoi(h.Get("X-Decoded-Bytes"))
+	return st, decoded
 }
 
 // CachedBlock asks the cluster-internal cache-only endpoint for one

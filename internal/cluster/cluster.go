@@ -7,10 +7,12 @@
 //     immutable values swapped atomically, so an in-flight request
 //     resolves its whole replica set against one placement and can
 //     never observe a half-applied rebalance;
-//   - a node (node.go): one romserver.Server wrapped with the core
-//     serving HTTP API, write-through disk persistence (store.go) so a
-//     restarted node recovers its registered images without
-//     re-registration, and peer cache-fill — a local miss asks the
+//   - a node (node.go, nodehttp.go), the one serving node type:
+//     cmd/codecompd is a Node with flags around it. One romserver.Server
+//     behind the full serving HTTP API, optional write-through disk
+//     persistence (store.go) so a restarted node recovers its
+//     registered images without re-registration, and peer cache-fill —
+//     a local miss asks the
 //     image's replica peers' hot caches over a compact /internal API
 //     before paying for a decompression, with every filled block
 //     re-verified against the local integrity sidecar;

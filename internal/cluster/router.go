@@ -12,12 +12,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1018,7 +1016,7 @@ func (rt *Router) buildMux() {
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 			start := time.Now()
 			rt.requests.With(route).Inc()
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+			sw := &statusWriter{ResponseWriter: w}
 			h(sw, r)
 			if sw.status >= 500 {
 				rt.errorsTotal.With(route).Inc()
@@ -1029,13 +1027,11 @@ func (rt *Router) buildMux() {
 	handle("POST /images", "upload", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("name")
 		if name == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing ?name="})
+			writeError(w, http.StatusBadRequest, "missing ?name=")
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
-		payload, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		payload, ok := readBody(w, r, 64<<20)
+		if !ok {
 			return
 		}
 		info, err := rt.Register(name, payload)
@@ -1060,7 +1056,7 @@ func (rt *Router) buildMux() {
 		ent, ok := rt.catalog[r.PathValue("name")]
 		rt.mu.Unlock()
 		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": romserver.ErrNotFound.Error()})
+			writeError(w, http.StatusNotFound, romserver.ErrNotFound.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, ent.info)
@@ -1073,14 +1069,12 @@ func (rt *Router) buildMux() {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	handle("GET /images/{name}/blocks/{i}", "block", func(w http.ResponseWriter, r *http.Request) {
-		i, err := strconv.Atoi(r.PathValue("i"))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "block index must be an integer"})
+		i, ok := blockIndex(w, r)
+		if !ok {
 			return
 		}
-		ctx, cancel, err := overload.WithDeadlineHeader(r.Context(), r.Header.Get(overload.DeadlineHeader))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		ctx, cancel, ok := requestContext(w, r)
+		if !ok {
 			return
 		}
 		defer cancel()
@@ -1089,25 +1083,15 @@ func (rt *Router) buildMux() {
 			writeRouterErr(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if hit {
-			w.Header().Set("X-Cache", "hit")
-		} else {
-			w.Header().Set("X-Cache", "miss")
-		}
-		w.Write(data) //nolint:errcheck — client went away
+		writeBlock(w, data, hit)
 	})
 	handle("GET /images/{name}/bytes", "bytes", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		off, err1 := strconv.Atoi(q.Get("off"))
-		n, err2 := strconv.Atoi(q.Get("len"))
-		if err1 != nil || err2 != nil || off < 0 || n < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "off and len must be non-negative integers"})
+		off, n, ok := byteWindow(w, r)
+		if !ok {
 			return
 		}
-		ctx, cancel, err := overload.WithDeadlineHeader(r.Context(), r.Header.Get(overload.DeadlineHeader))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		ctx, cancel, ok := requestContext(w, r)
+		if !ok {
 			return
 		}
 		defer cancel()
@@ -1116,13 +1100,7 @@ func (rt *Router) buildMux() {
 			writeRouterErr(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		w.Header().Set("X-Range-Blocks", strconv.Itoa(st.Blocks))
-		w.Header().Set("X-Range-Cached", strconv.Itoa(st.CachedBlocks))
-		w.Header().Set("X-Range-Dispatches", strconv.Itoa(st.Dispatches))
-		w.Header().Set("X-Range-Decoded", strconv.Itoa(st.DecodedBlocks))
-		w.Header().Set("X-Decoded-Bytes", strconv.Itoa(decoded))
+		setRangeHeaders(w.Header(), len(data), st, decoded)
 		w.Write(data) //nolint:errcheck — client went away
 	})
 	handle("GET /cluster/nodes", "nodes", func(w http.ResponseWriter, r *http.Request) {
@@ -1135,14 +1113,14 @@ func (rt *Router) buildMux() {
 	handle("POST /cluster/nodes", "join", func(w http.ResponseWriter, r *http.Request) {
 		name, addr := r.URL.Query().Get("name"), r.URL.Query().Get("addr")
 		if err := rt.AddNode(name, addr); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		writeJSON(w, http.StatusCreated, map[string]any{"epoch": rt.Ring().Epoch()})
 	})
 	handle("DELETE /cluster/nodes/{name}", "leave", func(w http.ResponseWriter, r *http.Request) {
 		if err := rt.RemoveNode(r.PathValue("name")); err != nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+			writeError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"epoch": rt.Ring().Epoch()})
@@ -1162,17 +1140,13 @@ func (rt *Router) buildMux() {
 				break
 			}
 		}
-		status := http.StatusOK
-		if !ready {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, map[string]any{"ready": ready, "nodes": nodes})
+		writeJSON(w, readyStatus(ready), map[string]any{"ready": ready, "nodes": nodes})
 	})
 	handle("GET /metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
-		// Same negotiation as codecompd — the router is a drop-in for a
-		// single daemon, so JSON consumers (loadgen's stats report) get a
-		// Stats-shaped fleet aggregate.
-		if r.URL.Query().Get("format") == "json" || strings.Contains(r.Header.Get("Accept"), "application/json") {
+		// Same negotiation as a node — the router is a drop-in for a
+		// single codecompd, so JSON consumers (loadgen's stats report) get
+		// a Stats-shaped fleet aggregate.
+		if wantsJSON(r) {
 			writeJSON(w, http.StatusOK, rt.aggregateStats())
 			return
 		}
@@ -1180,19 +1154,6 @@ func (rt *Router) buildMux() {
 		rt.reg.WritePrometheus(w) //nolint:errcheck — client went away
 	})
 	rt.mux = mux
-}
-
-// statusWriter captures the response status for per-route error
-// accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-// WriteHeader records the status before delegating.
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
 }
 
 // writeRouterErr maps proxy errors onto HTTP statuses: placement
@@ -1216,5 +1177,5 @@ func writeRouterErr(w http.ResponseWriter, err error) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(se.RetryAfter/time.Second)))
 		}
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	writeError(w, status, err.Error())
 }

@@ -427,10 +427,15 @@ func TestConcurrentAddRemoveRace(t *testing.T) {
 					return
 				}
 				if b+1 < blocks && rng.Intn(8) == 0 {
-					rdata, err := s.Range("img", b, b+1)
-					if err == nil && !bytes.Equal(rdata[:32], wantA) && !bytes.Equal(rdata[:32], wantB) {
-						t.Errorf("Range(%d): stale bytes", b)
-						return
+					// One view reads one registration: both blocks of the
+					// window come from A or both from B.
+					if v, err := s.RangeView("img", b, b+1); err == nil {
+						rdata := partsBytes(v)
+						v.Close()
+						if !bytes.Equal(rdata, textA[b*32:(b+2)*32]) && !bytes.Equal(rdata, textB[b*32:(b+2)*32]) {
+							t.Errorf("RangeView(%d,%d): stale or mixed bytes", b, b+1)
+							return
+						}
 					}
 				}
 			}

@@ -638,14 +638,10 @@ func (s *Server) prefetch(img *image, miss int) {
 // buffered channel is reusable once its result has been received.
 var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
 
-// fetch runs one demand read through the pool and waits for its result.
-// Demand fetches are the access stream the trace recorder captures.
-func (s *Server) fetch(img *image, block int) ([]byte, bool, error) {
-	return s.fetchCtx(context.Background(), img, block)
-}
-
-// fetchCtx is fetch carrying the caller's request context through the
-// pool: the overload layer's gates run before the enqueue, an expired
+// fetchCtx runs one demand read through the pool and waits for its
+// result; demand fetches are the access stream the trace recorder
+// captures. The caller's request context rides through the pool: the
+// overload layer's gates run before the enqueue, an expired
 // context cancels still-queued work, and the context's deadline clamps
 // the per-decode deadline inside the hardened load path.
 func (s *Server) fetchCtx(ctx context.Context, img *image, block int) ([]byte, bool, error) {
@@ -929,26 +925,13 @@ func (s *Server) CachedBlock(name string, i int) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
-// Range returns the concatenated decompressed bytes of blocks [first,last],
-// fetched one block (and one pool dispatch) at a time.
-func (s *Server) Range(name string, first, last int) ([]byte, error) {
-	img, err := s.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if first < 0 || last >= img.blocks || first > last {
-		return nil, fmt.Errorf("%w: [%d,%d] of %q [0,%d)", ErrOutOfRange, first, last, name, img.blocks)
-	}
-	img.rangeReads.Add(1)
-	return s.assemble(img, first, last)
-}
-
-// RangeStats reports how a batched range read was served: how many of its
-// blocks came straight from the cache, how many worker-pool tickets the
-// miss-runs took, and how many blocks those tickets decoded. Dispatches is
-// at most the number of contiguous miss-runs — always ≤ Blocks, and far
-// below it on warm or sequential traffic, which is the batched path's
-// whole point versus per-block reads.
+// RangeStats reports how a View read (RangeView or ReadAtContext) was
+// served: how many of its blocks came straight from the cache, how many
+// worker-pool tickets the miss-runs took, and how many blocks those
+// tickets decoded. Dispatches is at most the number of contiguous
+// miss-runs — always ≤ Blocks, and far below it on warm or sequential
+// traffic, which is the batched path's whole point versus per-block
+// reads.
 type RangeStats struct {
 	Blocks        int `json:"blocks"`
 	CachedBlocks  int `json:"cached_blocks"`
@@ -956,27 +939,8 @@ type RangeStats struct {
 	DecodedBlocks int `json:"decoded_blocks"`
 }
 
-// RangeBatched returns the concatenated decompressed bytes of blocks
-// [first,last] through the batched decode path: cached blocks are taken
-// as leases (no LRU promotion, no demand hit/miss or prefetch-accuracy
-// impact), and each contiguous run of missing blocks becomes ONE worker
-// pool dispatch that decodes the run back to back, inserting every block
-// into the cache for later demand traffic. Unlike demand misses, batched
-// range reads trigger no speculative prefetch — the range itself already
-// states exactly what is wanted. This is the copying adapter over
-// RangeView; callers that can consume parts (the HTTP layer) should use
-// the view directly and skip the concatenation.
-func (s *Server) RangeBatched(name string, first, last int) ([]byte, RangeStats, error) {
-	v, err := s.RangeView(name, first, last)
-	if err != nil {
-		return nil, RangeStats{}, err
-	}
-	defer v.Close()
-	return v.AppendTo(make([]byte, 0, v.Len())), v.Stats(), nil
-}
-
 // awaitRange waits for one range dispatch, tolerating the same
-// enqueue/shutdown race fetch does: drain may close while the drain loop
+// enqueue/shutdown race fetchCtx does: drain may close while the drain loop
 // is still serving our queued job, so check the reply once more.
 func awaitRange(reply chan rangeResult, drained chan struct{}) (rangeResult, error) {
 	select {
@@ -990,31 +954,6 @@ func awaitRange(reply chan rangeResult, drained chan struct{}) (rangeResult, err
 			return rangeResult{}, ErrClosed
 		}
 	}
-}
-
-// FullText returns the whole decompressed program.
-func (s *Server) FullText(name string) ([]byte, error) {
-	img, err := s.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	img.fullReads.Add(1)
-	if img.blocks == 0 {
-		return nil, nil
-	}
-	return s.assemble(img, 0, img.blocks-1)
-}
-
-func (s *Server) assemble(img *image, first, last int) ([]byte, error) {
-	out := make([]byte, 0, (last-first+1)*32)
-	for b := first; b <= last; b++ {
-		blk, _, err := s.fetch(img, b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, blk...)
-	}
-	return out, nil
 }
 
 // TraceSnapshot returns the image's recorded demand-access trace, oldest

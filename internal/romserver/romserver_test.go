@@ -128,14 +128,14 @@ func TestBlockRangeFullText(t *testing.T) {
 		}
 	}
 
-	got, err := s.Range("prog", 2, 5)
+	got, _, err := rangeBytes(t, s, "prog", 2, 5)
 	if err != nil || !bytes.Equal(got, text[2*32:6*32]) {
-		t.Fatalf("Range(2,5): %v", err)
+		t.Fatalf("RangeView(2,5): %v", err)
 	}
 
-	full, err := s.FullText("prog")
+	full, err := writeText(s, "prog")
 	if err != nil || !bytes.Equal(full, text) {
-		t.Fatalf("FullText: len %d vs %d, err %v", len(full), len(text), err)
+		t.Fatalf("WriteText: len %d vs %d, err %v", len(full), len(text), err)
 	}
 
 	// Error surfaces.
@@ -145,8 +145,8 @@ func TestBlockRangeFullText(t *testing.T) {
 	if _, _, err := s.Block("prog", info.Blocks); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Block(N): %v", err)
 	}
-	if _, err := s.Range("prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("Range(5,2): %v", err)
+	if _, _, err := rangeBytes(t, s, "prog", 5, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("RangeView(5,2): %v", err)
 	}
 	if _, _, err := s.Block("nope", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Block(nope): %v", err)

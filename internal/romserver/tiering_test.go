@@ -53,7 +53,7 @@ func TestTieredImageServing(t *testing.T) {
 	if info.Format != codecomp.FormatTiered {
 		t.Fatalf("format %q", info.Format)
 	}
-	got, err := s.FullText("tiered")
+	got, err := writeText(s, "tiered")
 	if err != nil || !bytes.Equal(got, text) {
 		t.Fatalf("full text mismatch (err %v)", err)
 	}
@@ -144,7 +144,7 @@ func TestRecompressConvergence(t *testing.T) {
 	}
 	// Every byte must still be exact after migration — including the
 	// blocks whose pre-migration copies were cached.
-	got, err := s.FullText("prog")
+	got, err := writeText(s, "prog")
 	if err != nil || !bytes.Equal(got, text) {
 		t.Fatalf("text corrupted by recompression (err %v)", err)
 	}
@@ -247,7 +247,7 @@ func TestTieredMigrationUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	got, err := s.FullText("prog")
+	got, err := writeText(s, "prog")
 	if err != nil || !bytes.Equal(got, text) {
 		t.Fatalf("text corrupted after migration storm (err %v)", err)
 	}
@@ -293,7 +293,7 @@ func TestTieringBatchLimit(t *testing.T) {
 	if st.Planned != 0 {
 		t.Fatalf("backlog never drained: %+v", st)
 	}
-	got, err := s.FullText("prog")
+	got, err := writeText(s, "prog")
 	if err != nil || !bytes.Equal(got, text) {
 		t.Fatalf("text corrupted (err %v)", err)
 	}

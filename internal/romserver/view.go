@@ -56,8 +56,8 @@ func newView() *View {
 // Len is the total byte length across parts.
 func (v *View) Len() int { return v.length }
 
-// Stats reports how the read was served (cached blocks, pool
-// dispatches, decoded blocks), same semantics as RangeBatched.
+// Stats reports how the read was served: cached blocks, pool
+// dispatches and decoded blocks (see RangeStats).
 func (v *View) Stats() RangeStats { return v.stats }
 
 // DecodedBytes is how many bytes of codec output the read decoded: the
@@ -70,15 +70,6 @@ func (v *View) DecodedBytes() int { return v.decodedBytes }
 // Parts returns the view's parts in order. Read-only, valid until
 // Close.
 func (v *View) Parts() [][]byte { return v.parts }
-
-// AppendTo appends the view's bytes to dst and returns it — the
-// copying adapter the legacy contiguous APIs (RangeBatched) sit on.
-func (v *View) AppendTo(dst []byte) []byte {
-	for _, p := range v.parts {
-		dst = append(dst, p...)
-	}
-	return dst
-}
 
 // WriteTo writes the parts to w in order: a net.Conn gets one vectored
 // writev through net.Buffers, anything else (an http.ResponseWriter's
@@ -188,8 +179,10 @@ func (s *Server) ReadAtContext(ctx context.Context, name string, off, n int) (*V
 		return nil, err
 	}
 	total := int(offs[len(offs)-1])
-	if off < 0 || n < 0 || off+n > total {
-		return nil, fmt.Errorf("%w: bytes [%d,%d) of %q [0,%d)", ErrOutOfRange, off, off+n, name, total)
+	// n > total-off, not off+n > total: the sum wraps for huge client-
+	// supplied windows and would slip past the check.
+	if off < 0 || n < 0 || n > total-off {
+		return nil, fmt.Errorf("%w: %d bytes at %d of %q [0,%d)", ErrOutOfRange, n, off, name, total)
 	}
 	img.subblockReads.Add(1)
 	s.met.subblockReads.Inc()
@@ -406,7 +399,7 @@ func (s *Server) WriteText(name string, w io.Writer) (int64, error) {
 	img.fullReads.Add(1)
 	var n int64
 	for b := 0; b < img.blocks; b++ {
-		blk, _, err := s.fetch(img, b)
+		blk, _, err := s.fetchCtx(context.Background(), img, b)
 		if err != nil {
 			return n, err
 		}

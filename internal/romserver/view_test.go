@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -46,15 +47,55 @@ func readAll(t *testing.T, s *Server, name string, off, n int) []byte {
 	if v.Len() != n {
 		t.Fatalf("ReadAt(%s, %d, %d): Len() = %d", name, off, n, v.Len())
 	}
-	got := v.AppendTo(nil)
+	got := partsBytes(v)
 	var buf bytes.Buffer
 	if m, err := s.mustView(t, name, off, n).writeAndClose(&buf); err != nil || m != int64(n) {
 		t.Fatalf("WriteTo(%s, %d, %d) = %d, %v", name, off, n, m, err)
 	}
 	if !bytes.Equal(buf.Bytes(), got) {
-		t.Fatalf("ReadAt(%s, %d, %d): WriteTo and AppendTo diverge", name, off, n)
+		t.Fatalf("ReadAt(%s, %d, %d): WriteTo and Parts diverge", name, off, n)
 	}
 	return got
+}
+
+// partsBytes concatenates a view's parts — the read-only Parts path,
+// independent of WriteTo.
+func partsBytes(v *View) []byte {
+	var out []byte
+	for _, p := range v.Parts() {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// viewBytes drains a view through WriteTo into a buffer; the view stays
+// open (the generic writer path does not consume its parts).
+func viewBytes(t testing.TB, v *View) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if n, err := v.WriteTo(&buf); err != nil || n != int64(v.Len()) {
+		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, v.Len())
+	}
+	return buf.Bytes()
+}
+
+// writeText reads the whole program through WriteText into a buffer.
+func writeText(s *Server, name string) ([]byte, error) {
+	var buf bytes.Buffer
+	_, err := s.WriteText(name, &buf)
+	return buf.Bytes(), err
+}
+
+// rangeBytes reads blocks [first,last] of name through RangeView and
+// WriteTo, closing the view.
+func rangeBytes(t testing.TB, s *Server, name string, first, last int) ([]byte, RangeStats, error) {
+	t.Helper()
+	v, err := s.RangeView(name, first, last)
+	if err != nil {
+		return nil, RangeStats{}, err
+	}
+	defer v.Close()
+	return viewBytes(t, v), v.Stats(), nil
 }
 
 // mustView/writeAndClose keep readAll readable: a second view of the
@@ -151,7 +192,7 @@ func TestReadAtPartialTailNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := v.AppendTo(nil)
+	got := viewBytes(t, v)
 	decoded := v.DecodedBytes()
 	v.Close()
 	if !bytes.Equal(got, text[:end]) {
@@ -213,7 +254,7 @@ func TestReadAtFaultedImageStaysVerified(t *testing.T) {
 			// fine, a wrong one is not.
 			continue
 		}
-		got := v.AppendTo(nil)
+		got := viewBytes(t, v)
 		v.Close()
 		served++
 		if !bytes.Equal(got, text[off:off+n]) {
@@ -228,9 +269,8 @@ func TestReadAtFaultedImageStaysVerified(t *testing.T) {
 	}
 }
 
-// TestRangeViewMatchesRange pins the zero-copy range path to the
-// copying one, and RangeBatched (now a wrapper over RangeView) to
-// Range.
+// TestRangeViewMatchesRange pins the zero-copy range path to the source
+// text: every window's bytes, length and block accounting.
 func TestRangeViewMatchesRange(t *testing.T) {
 	_, text := testText(t)
 	s := New(Options{CacheBlocks: 16, CacheShards: 1})
@@ -240,28 +280,24 @@ func TestRangeViewMatchesRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range [][2]int{{0, 0}, {0, 3}, {2, 5}, {info.Blocks - 2, info.Blocks - 1}, {0, info.Blocks - 1}} {
-		want, err := s.Range("prog", w[0], w[1])
-		if err != nil {
-			t.Fatalf("Range(%v): %v", w, err)
-		}
+		want := text[w[0]*32 : min((w[1]+1)*32, len(text))]
 		v, err := s.RangeView("prog", w[0], w[1])
 		if err != nil {
 			t.Fatalf("RangeView(%v): %v", w, err)
 		}
-		if got := v.AppendTo(nil); !bytes.Equal(got, want) {
-			t.Fatalf("RangeView(%v) diverges from Range", w)
+		if got := partsBytes(v); !bytes.Equal(got, want) {
+			t.Fatalf("RangeView(%v) parts diverge from the source text", w)
+		}
+		if got := viewBytes(t, v); !bytes.Equal(got, want) {
+			t.Fatalf("RangeView(%v) WriteTo diverges from the source text", w)
 		}
 		if v.Len() != len(want) {
 			t.Fatalf("RangeView(%v).Len() = %d, want %d", w, v.Len(), len(want))
 		}
+		if st := v.Stats(); st.Blocks != w[1]-w[0]+1 || st.CachedBlocks+st.DecodedBlocks < st.Blocks {
+			t.Fatalf("RangeView(%v) stats = %+v", w, st)
+		}
 		v.Close()
-		got, st, err := s.RangeBatched("prog", w[0], w[1])
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("RangeBatched(%v): %v", w, err)
-		}
-		if st.Blocks != w[1]-w[0]+1 || st.CachedBlocks+st.DecodedBlocks < st.Blocks {
-			t.Fatalf("RangeBatched(%v) stats = %+v", w, st)
-		}
 	}
 	if _, err := s.RangeView("prog", 3, 1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("RangeView(3,1): %v", err)
@@ -296,7 +332,7 @@ func TestViewLeaseLifecycle(t *testing.T) {
 	if got := s.CacheStats().LeasesActive; got != 4 {
 		t.Fatalf("LeasesActive = %d, want 4", got)
 	}
-	want := v.AppendTo(nil)
+	want := viewBytes(t, v)
 
 	// Blow the leased blocks out of the tiny cache; the view's parts
 	// must survive untouched because the leases pin the buffers.
@@ -308,7 +344,7 @@ func TestViewLeaseLifecycle(t *testing.T) {
 	if got := s.CacheStats().RetiredLeaseBufs; got == 0 {
 		t.Fatal("eviction under lease retired no buffers")
 	}
-	if got := v.AppendTo(nil); !bytes.Equal(got, want) {
+	if got := viewBytes(t, v); !bytes.Equal(got, want) {
 		t.Fatal("leased parts changed under eviction")
 	}
 
@@ -344,6 +380,78 @@ func TestWriteTextStreams(t *testing.T) {
 	if _, err := s.WriteText("nope", &buf); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("WriteText(nope): %v", err)
 	}
+}
+
+// TestReadAtHugeWindowOutOfRange pins the bounds check against integer
+// overflow: off+n wraps for windows a client can send as
+// bytes?off=&len=, and must not slip past the check to slice out of
+// range (leaking the view's leases) or reach the prefix decoder with a
+// huge limit (a false codec panic).
+func TestReadAtHugeWindowOutOfRange(t *testing.T) {
+	_, text := testText(t)
+	s := New(Options{CacheBlocks: 64, CacheShards: 1})
+	defer s.Close()
+	if _, err := s.AddImage("prog", marshalSAMC(t, text)); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the image so a view that got through would hold leases.
+	if _, _, err := rangeBytes(t, s, "prog", 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]int{{math.MaxInt64, math.MaxInt64}, {math.MaxInt64, 1}, {1, math.MaxInt64}} {
+		if v, err := s.ReadAt("prog", w[0], w[1]); !errors.Is(err, ErrOutOfRange) {
+			if err == nil {
+				v.Close()
+			}
+			t.Fatalf("ReadAt(%d, %d): %v, want ErrOutOfRange", w[0], w[1], err)
+		}
+	}
+	if got := s.CacheStats().LeasesActive; got != 0 {
+		t.Fatalf("LeasesActive = %d after rejected reads, want 0", got)
+	}
+	if got := s.Stats().Faults.PanicsRecovered; got != 0 {
+		t.Fatalf("PanicsRecovered = %d, want 0", got)
+	}
+}
+
+// FuzzReadAt drives ReadAt with arbitrary (off, n): every call returns
+// either exactly the source bytes or ErrOutOfRange, never panics, and
+// leaves no lease held once the view is closed.
+func FuzzReadAt(f *testing.F) {
+	_, text := testText(f)
+	s := New(Options{CacheBlocks: 16, CacheShards: 1})
+	f.Cleanup(func() { s.Close() })
+	if _, err := s.AddImage("prog", marshalSAMC(f, text)); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][2]int64{
+		{0, 0}, {0, 1}, {31, 2}, {17, 99}, {0, int64(len(text))}, {int64(len(text)), 0},
+		{int64(len(text)), 1}, {-1, 4}, {0, -1}, {math.MaxInt64, math.MaxInt64}, {math.MaxInt64, 1},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, off, n int64) {
+		v, err := s.ReadAt("prog", int(off), int(n))
+		valid := off >= 0 && n >= 0 && off <= int64(len(text)) && n <= int64(len(text))-off
+		switch {
+		case err != nil:
+			if !errors.Is(err, ErrOutOfRange) || valid {
+				t.Fatalf("ReadAt(%d, %d): %v", off, n, err)
+			}
+		case !valid:
+			v.Close()
+			t.Fatalf("ReadAt(%d, %d) accepted a window outside [0,%d)", off, n, len(text))
+		default:
+			got := partsBytes(v)
+			v.Close()
+			if !bytes.Equal(got, text[off:off+n]) {
+				t.Fatalf("ReadAt(%d, %d): wrong bytes", off, n)
+			}
+		}
+		if held := s.CacheStats().LeasesActive; held != 0 {
+			t.Fatalf("ReadAt(%d, %d): %d leases held after Close", off, n, held)
+		}
+	})
 }
 
 // benchServer is the hot-path benchmark configuration: no prefetch, no
